@@ -1,18 +1,19 @@
-"""Ensemble-replay benchmark: batched segment lanes vs N scalar runs.
+"""Ensemble-replay benchmark: windowed batched runs vs N scalar runs.
 
-Times ``run_trainers_lockstep`` over N trace-driven trainers — the
-execution path behind ``repro ensemble`` — against the same N trainers
-stepped scalar one by one, and writes a ``BENCH_ensemble.json``
+Times ``Trainer.run()`` over N trace-driven trainers — the execution
+path behind ``repro ensemble`` — against the same N trainers run with
+one-miss windows, so every distinct iteration state is simulated by
+its own scalar compiled engine call.  Writes a ``BENCH_ensemble.json``
 artifact tracked commit-over-commit (the CI bench-smoke job runs this
 script and ``scripts/check_bench_regression.py`` gates on the
 committed baseline).
 
 Every trainer carries a distinct seeded :class:`ClusterEventTrace`, so
-the lockstep replay exercises the piecewise-static segmentation: each
-iteration's (placement, slowdown-map) key bins across trainers into
-batched-engine lanes, with base-table / speed / edge-time memo sharing
-across lanes that differ only in their trace.  Bit-identity between the
-two paths is asserted inside the bench itself.
+each run's walk-ahead windows exercise the piecewise-static
+segmentation: the window's (placement, slowdown-map) segments become
+batched-engine lanes of one call, with base-table / speed / edge-time
+memo sharing across lanes.  Bit-identity between the two paths is
+asserted inside the bench itself.
 
 Runs standalone::
 
@@ -33,7 +34,7 @@ import time
 from repro.baselines.megatron import megatron_uniform_plan
 from repro.cluster.events import ClusterEventTrace
 from repro.experiments.common import build_scenario
-from repro.training.lockstep import run_trainers_lockstep
+import repro.training.trainer as trainer_mod
 from repro.training.trainer import Trainer, TrainingConfig
 
 ITERATIONS = 100
@@ -94,8 +95,19 @@ def _build_trainers(schedule: str, n: int, micro: int) -> list[Trainer]:
     return trainers
 
 
+def _run_scalar(trainers: list[Trainer]) -> list:
+    """Run each trainer with one-miss windows: every distinct state
+    goes to the scalar compiled engine on its own."""
+    window = trainer_mod.WINDOW_MISSES
+    trainer_mod.WINDOW_MISSES = 1
+    try:
+        return [t.run() for t in trainers]
+    finally:
+        trainer_mod.WINDOW_MISSES = window
+
+
 def run_case(schedule: str, n: int, micro: int, repeats: int) -> tuple[float, float]:
-    """Best-of-``repeats`` (lockstep, scalar) wall times, with the
+    """Best-of-``repeats`` (windowed, scalar) wall times, with the
     trainers rebuilt fresh per repeat (they are stateful) outside the
     timed region.  Asserts the two paths agree bit for bit."""
     t_fast = t_scalar = float("inf")
@@ -103,15 +115,15 @@ def run_case(schedule: str, n: int, micro: int, repeats: int) -> tuple[float, fl
     for _ in range(max(1, repeats)):
         trainers = _build_trainers(schedule, n, micro)
         t0 = time.perf_counter()
-        fast = run_trainers_lockstep([(t, None) for t in trainers])
+        fast = [t.run() for t in trainers]
         t_fast = min(t_fast, time.perf_counter() - t0)
 
         trainers = _build_trainers(schedule, n, micro)
         t0 = time.perf_counter()
-        scalar = [t.run(prewarm=False) for t in trainers]
+        scalar = _run_scalar(trainers)
         t_scalar = min(t_scalar, time.perf_counter() - t0)
     for a, b in zip(fast, scalar):
-        assert a.total_time_s == b.total_time_s, "lockstep diverged from scalar"
+        assert a.total_time_s == b.total_time_s, "windowed run diverged from scalar"
         assert a.makespan_history == b.makespan_history
         assert a.overhead_s == b.overhead_s
     return t_fast, t_scalar
@@ -154,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
     width = max(len(r["case"]) for r in rows)
     for r in rows:
         print(
-            f"{r['case']:<{width}}  lockstep {r['fast_ms']:8.1f} ms"
+            f"{r['case']:<{width}}  windowed {r['fast_ms']:8.1f} ms"
             f"  scalar {r['scalar_ms']:8.1f} ms"
             f"  speedup {r['speedup']:5.2f}x"
         )
@@ -163,15 +175,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def test_ensemble_speedup(once):
-    """Acceptance bar: an N=128 1f1b fault ensemble through batched
-    segment lanes runs >= 3x faster than 128 scalar trace-driven runs
+    """Acceptance bar: an N=128 1f1b fault ensemble through windowed
+    batched segment lanes runs >= 3x faster than 128 scalar runs
     (bit-identity is asserted inside run_case; per-trace identity is
     covered by tests/test_ensemble.py)."""
     rows = once(run_grid, repeats=1, quick=True)
     print()
     for r in rows:
         print(
-            f"{r['case']:<16} lockstep {r['fast_ms']:.1f} ms "
+            f"{r['case']:<16} windowed {r['fast_ms']:.1f} ms "
             f"scalar {r['scalar_ms']:.1f} ms ({r['speedup']:.2f}x)"
         )
     assert rows[0]["speedup"] >= 3.0

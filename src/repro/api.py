@@ -81,10 +81,10 @@ def _as_cache(
 def simulate(spec: RunSpec, *, policy: ExecutionPolicy | None = None) -> RunRecord:
     """Run one spec to a :class:`RunRecord` (failures captured, not raised).
 
-    A single run always executes in this process; the engine still
-    batches internally where it can (segmented prewarm decomposes
-    trace-driven runs into piecewise-static segments and simulates each
-    segment's states as one vectorized batch).  ``policy`` only
+    A single run always executes in this process; its Trainer still
+    batches where it can (the run loop walks ahead and simulates each
+    window's distinct states, across piecewise-static segments of a
+    trace-driven run, as one vectorized batch).  ``policy`` only
     contributes its ``timeout_s`` here.
     """
     return execute_spec(spec, policy.timeout_s if policy is not None else None)
@@ -101,8 +101,8 @@ def sweep(
 ) -> list[RunRecord]:
     """Run many specs through a :class:`SweepRunner`.
 
-    ``policy`` picks the backend (default: batched lockstep bins in
-    this process); ``cache`` (a :class:`ResultCache` or a directory
+    ``policy`` picks the backend (default: the batched backend, which
+    runs specs in this process); ``cache`` (a :class:`ResultCache` or a directory
     path) serves repeat specs from their content hash.  ``journal``
     (a :class:`SweepJournal` or a path) makes the sweep durable and
     resumable: records append as they land, SIGINT/SIGTERM drain

@@ -40,7 +40,7 @@ class SimWorld:
         # every run() namespaces its traffic under a fresh generation,
         # so a brand-new world of the same size is indistinguishable.
         # This keeps schemes that embed a world (e.g. the global
-        # magnitude pruner) deep-copyable for shadow prewarm replays.
+        # magnitude pruner) deep-copyable.
         clone = SimWorld(self.size)
         memo[id(self)] = clone
         return clone

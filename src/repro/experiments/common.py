@@ -253,8 +253,7 @@ def make_trainer(
 ) -> Trainer:
     """Build the Trainer for one configuration without running it.
 
-    The batched sweep executor uses this to collect whole bins of
-    compatible runs and drive them in lockstep;
+    The sweep runner builds each spec's Trainer with this;
     :func:`run_training` is the build-then-run composition.
 
     ``memory_limit`` (see :func:`parse_memory_limit`) turns on the

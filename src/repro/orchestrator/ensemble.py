@@ -15,12 +15,13 @@ distributions:
   stage count at each recorded iteration.
 
 Execution defaults to the batched backend: every draw is an
-independent Trainer, and the lockstep driver simulates each
-iteration's cache misses across all draws as one vectorized batch —
-trace-driven runs are piecewise static, so they batch segment by
-segment (see :mod:`repro.training.lockstep`).  Percentiles use the
-deterministic nearest-rank definition, so summaries are bit-identical
-across inline/pool/batched backends and across cached re-runs.
+independent Trainer, run in this process, whose run loop walks ahead
+and simulates each window's distinct states as one vectorized batch —
+trace-driven runs are piecewise static, so a window's segments become
+lanes of that batch (see :meth:`repro.training.trainer.Trainer.run`).
+Percentiles use the deterministic nearest-rank definition, so
+summaries are bit-identical across inline/pool/batched backends and
+across cached re-runs.
 """
 
 from __future__ import annotations
@@ -262,7 +263,7 @@ def run_ensemble(
 
     Draws are deduplicated by spec content hash before execution (empty
     traces collapse into one event-free run), executed through a
-    :class:`SweepRunner` — batched lockstep bins by default — and
+    :class:`SweepRunner` — the in-process batched backend by default — and
     fanned back out so duplicate draws weight the statistics exactly
     once per draw.  ``journal`` makes the underlying sweep durable and
     resumable, exactly as in :meth:`SweepRunner.run`.

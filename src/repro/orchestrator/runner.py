@@ -1,4 +1,4 @@
-"""Sweep runner: batched in-process, pooled, and serial execution.
+"""Sweep runner: in-process and pooled execution.
 
 ``execute_spec`` is the single entry point that turns a
 :class:`RunSpec` into a :class:`RunRecord`; it is a module-level
@@ -8,15 +8,11 @@ pickle it to workers.  All exceptions are captured into the record
 
 Execution backends (:class:`ExecutionPolicy`):
 
-- ``backend="batched"`` — bins compatible specs by compiled key
-  ``(schedule, stages, micro)`` and drives each bin's Trainers in
-  lockstep in this process, simulating every iteration's cache misses
-  as one vectorized batch (no pickling, no worker import cost).  Specs
-  whose pipelines can diverge mid-run (re-packing, elasticity) fall
-  back to the per-spec path.  Timeouts are enforced with a
-  monotonic-clock check between iterations and bins — they work off
-  the main thread, unlike ``SIGALRM``.
 - ``backend="inline"`` — serial, in the calling process.
+- ``backend="batched"`` — the same serial path (no pickling, no worker
+  import cost).  Each run already batches its own engine work: its
+  Trainer walks ahead and simulates a window of distinct iteration
+  states in one vectorized call.  Kept as a name for ``--jobs 0``.
 - ``backend="pool"`` — a process pool, submitted in chunks (one future
   per chunk of specs, not per spec) over a module-wide warm pool that
   is reused across sweep calls, so repeat sweeps stop paying per-spec
@@ -46,10 +42,11 @@ contract):
   journal opened with ``resume=True`` serves already-finished specs
   without re-running them.
 
-Per-run timeouts use ``SIGALRM`` inside the executing process where
-available; when the alarm cannot be armed (no SIGALRM, or off the main
-thread) the budget is still enforced post-hoc — an over-budget run is
-recorded as ``status="timeout"`` instead of silently passing.
+Per-run timeouts are enforced by the trainer's monotonic-clock check
+between iterations on every backend.  ``SIGALRM`` (where it can be
+armed) backs it up for scenario setup and a single hung iteration;
+where it cannot, an over-budget run is still recorded as
+``status="timeout"`` post-hoc instead of silently passing.
 
 The experiments package imports this module (the figure drivers build
 their sweeps on top of it), so the heavy experiment imports happen
@@ -92,20 +89,18 @@ class ExecutionPolicy:
     Replaces the ``jobs`` integer protocol (``0`` → batched, ``1`` →
     inline, ``N>1`` → pool of N, ``None`` → pool of cpu_count):
 
-    - ``backend="batched"`` — bin compatible specs by compiled key and
-      drive whole bins in lockstep in this process, simulating each
-      iteration's cache misses as one vectorized batch;
     - ``backend="inline"`` — serial, in the calling process;
+    - ``backend="batched"`` — the inline path under its ``--jobs 0``
+      name (every run batches its own engine work);
     - ``backend="pool"`` — chunked submission over a warm process pool
       of ``workers`` (``None`` → all cores).
 
-    ``timeout_s`` is the per-run wall-clock budget (the batched backend
-    scales it to a whole-bin deadline).  ``retry`` governs how
-    transient worker faults re-run; ``max_pool_restarts`` bounds how
-    many times a run may replace a broken pool before degrading to
-    inline execution; ``chunk_size`` (pool only) overrides the
-    automatic chunking, mostly for tests that need a specific chunk
-    shape.
+    ``timeout_s`` is the per-run wall-clock budget on every backend.
+    ``retry`` governs how transient worker faults re-run;
+    ``max_pool_restarts`` bounds how many times a run may replace a
+    broken pool before degrading to inline execution; ``chunk_size``
+    (pool only) overrides the automatic chunking, mostly for tests
+    that need a specific chunk shape.
     """
 
     backend: str = "inline"
@@ -248,14 +243,16 @@ def _deadline(seconds: float | None) -> Iterator[bool]:
         signal.signal(signal.SIGALRM, old)
 
 
-def _spec_scenario_and_trainer(spec: RunSpec) -> tuple[Any, Any]:
-    """Build the scenario and (unrun) Trainer a spec describes."""
+def _run_spec(spec: RunSpec, deadline_s: float | None = None) -> dict[str, Any]:
+    """Build the scenario and Trainer a spec describes, run it, and
+    return the record's metrics."""
     # deferred: repro.experiments imports repro.orchestrator for the
     # figure drivers, so importing it at module level would be circular
     from repro.cluster.events import ClusterEventTrace
     from repro.cluster.job_manager import ElasticJobManager
     from repro.dynamics.base import StaticScheme
     from repro.experiments.common import build_scenario, make_trainer
+    from repro.training.trainer import RunDeadlineExceeded
 
     if spec.mode not in MODES:
         raise ValueError(f"unknown mode {spec.mode!r}; choose from {MODES}")
@@ -297,10 +294,11 @@ def _spec_scenario_and_trainer(spec: RunSpec) -> tuple[Any, Any]:
         cluster_events=events,
         memory_limit=spec.memory_limit or None,
     )
-    return setup, trainer
-
-
-def _spec_metrics(setup: Any, result: Any) -> dict[str, Any]:
+    try:
+        result = trainer.run(deadline_s=deadline_s)
+    except RunDeadlineExceeded as exc:
+        # same record shape as the SIGALRM path: status="timeout"
+        raise SweepTimeout(str(exc)) from None
     metrics = result_metrics(result)
     # effective shape (build_scenario may widen the pipeline, e.g. MoE)
     metrics["effective_pp_stages"] = setup.pp_stages
@@ -309,21 +307,8 @@ def _spec_metrics(setup: Any, result: Any) -> dict[str, Any]:
     return metrics
 
 
-def _run_spec(spec: RunSpec, deadline_s: float | None = None) -> dict[str, Any]:
-    from repro.training.trainer import RunDeadlineExceeded
-
-    setup, trainer = _spec_scenario_and_trainer(spec)
-    try:
-        result = trainer.run(deadline_s=deadline_s)
-    except RunDeadlineExceeded as exc:
-        # same record shape as the SIGALRM path: status="timeout"
-        raise SweepTimeout(str(exc)) from None
-    return _spec_metrics(setup, result)
-
-
 def _error_record(spec: RunSpec, exc: BaseException, duration: float = 0.0) -> RunRecord:
-    # format from the exception object, not the ambient sys.exc_info():
-    # lockstep outcomes are handed over *outside* their except block
+    # format from the exception object, not the ambient sys.exc_info()
     trace = "".join(
         traceback.format_exception(type(exc), exc, exc.__traceback__, limit=8)
     )
@@ -388,17 +373,15 @@ def execute_spec(spec: RunSpec, timeout_s: float | None = None) -> RunRecord:
     start = time.perf_counter()
     try:
         with _deadline(timeout_s) as armed:
-            # when the alarm cannot arm (off the main thread, or no
-            # SIGALRM — e.g. shard-worker mode) the trainer enforces
-            # the budget itself with monotonic-clock checks between
-            # iterations, so over-budget runs still stop mid-flight
-            metrics = _run_spec(
-                spec, deadline_s=timeout_s if timeout_s and not armed else None
-            )
+            # the trainer enforces the budget with monotonic-clock
+            # checks between iterations; the alarm (whole seconds,
+            # main thread only) backs it up for scenario setup and a
+            # single hung iteration
+            metrics = _run_spec(spec, deadline_s=timeout_s or None)
         duration = time.perf_counter() - start
         if timeout_s and not armed and duration > timeout_s:
-            # backstop for budgets blown inside a single iteration or
-            # during scenario setup, where no deadline check ran
+            # without the alarm, budgets blown inside a single
+            # iteration or during scenario setup are caught here
             return _timeout_record(
                 spec,
                 f"exceeded {timeout_s:.0f}s budget "
@@ -494,11 +477,11 @@ class SweepRunner:
     """Executes RunSpecs, serving repeats from cache and misses from an
     execution backend.
 
-    The backend is named by an :class:`ExecutionPolicy`:
-    ``backend="batched"`` runs the in-process lockstep executor over
-    the vectorized engine, ``"inline"`` runs serially, ``"pool"`` fans
-    chunks of specs out over a warm process pool.  Results come back in
-    spec order regardless of completion order.
+    The backend is named by an :class:`ExecutionPolicy`: ``"inline"``
+    (and its ``--jobs 0`` alias ``"batched"``) runs serially in this
+    process, ``"pool"`` fans chunks of specs out over a warm process
+    pool.  Results come back in spec order regardless of completion
+    order.
 
     With a :class:`~repro.orchestrator.journal.SweepJournal` attached,
     every landed record is durably appended, SIGINT/SIGTERM drain
@@ -548,18 +531,6 @@ class SweepRunner:
         self.refresh = refresh
         self._pool: ProcessPoolExecutor | None = None
         self._progress_broken = False
-        if (
-            self.timeout_s
-            and policy.backend != "batched"
-            and not hasattr(signal, "SIGALRM")
-        ):
-            warnings.warn(
-                "per-run timeouts need SIGALRM, which this platform lacks; "
-                "timeout_s is only enforced post-hoc (jobs=0 enforces it "
-                "with a monotonic clock)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
 
     @property
     def jobs(self) -> int:
@@ -736,9 +707,7 @@ class SweepRunner:
 
         state = _RunState(specs=specs, records=records, land=land, stop=stop)
         with self._trap_signals(stop):
-            if self.policy.backend == "batched":
-                self._run_batched([(i, specs[i]) for i in pending], state)
-            elif self.policy.backend == "inline" or len(pending) == 1:
+            if self.policy.backend != "pool" or len(pending) == 1:
                 for i in pending:
                     self._maybe_interrupt(state)
                     land(i, execute_spec(specs[i], self.timeout_s))
@@ -937,87 +906,6 @@ class SweepRunner:
                 continue
             for i, record in zip(group, group_records):
                 state.land(i, record)
-
-    # -- batched in-process execution ---------------------------------------
-    def _run_batched(
-        self,
-        pending: list[tuple[int, RunSpec]],
-        state: _RunState,
-    ) -> None:
-        """Evaluate specs binned by compiled key, whole bins in lockstep.
-
-        Specs whose pipeline shape can diverge *unpredictably* mid-run
-        (controller re-packing, elasticity) are executed on the per-spec
-        path instead — their stage count, and so their compiled key, is
-        result-dependent.  Cluster-event specs stay in the bins: a trace
-        changes the key only at event boundaries (piecewise-static
-        segments), and the lockstep driver re-bins every iteration's
-        misses by *current* key, so event runs batch segment by segment.
-        Timeouts are wall-clock checks between iterations (inside
-        lockstep) and around the per-spec fallback, recorded as
-        ``status="timeout"`` like the signal-based path.  Interrupts
-        are honoured between bins and between fallback specs.
-        """
-        from repro.training.lockstep import LockstepTimeout, run_trainers_lockstep
-
-        land = state.land
-        bins: dict[tuple[Any, ...], list[tuple[int, RunSpec, Any, Any]]] = {}
-        for i, spec in pending:
-            if spec.repack or spec.elastic_total_gpus is not None:
-                # execute_spec arms SIGALRM when possible and otherwise
-                # enforces the budget post-hoc, so the fallback path
-                # reports timeouts exactly like the pooled path
-                self._maybe_interrupt(state)
-                land(i, execute_spec(spec, self.timeout_s))
-                continue
-            start = time.perf_counter()
-            try:
-                setup, trainer = _spec_scenario_and_trainer(spec)
-            except Exception as exc:
-                land(i, _error_record(spec, exc, time.perf_counter() - start))
-                continue
-            key = (
-                spec.schedule,
-                trainer.plan.num_stages,
-                trainer.cfg.micro_batches,
-            )
-            bins.setdefault(key, []).append((i, spec, setup, trainer))
-
-        for entries in bins.values():
-            self._maybe_interrupt(state)
-            t0 = time.perf_counter()
-            # the bin advances all runs together, so the per-run budget
-            # scales to a whole-bin deadline: a bin of N runs may take
-            # N x timeout_s before its still-active runs time out —
-            # runs that fit the budget solo are not penalised for
-            # sharing a bin
-            deadline = (
-                self.timeout_s * len(entries) if self.timeout_s else self.timeout_s
-            )
-            outcomes = run_trainers_lockstep(
-                [(trainer, None) for _, _, _, trainer in entries],
-                deadline_s=deadline,
-            )
-            wall = time.perf_counter() - t0
-            share = wall / len(entries)
-            for (i, spec, setup, _), outcome in zip(entries, outcomes):
-                if isinstance(outcome, LockstepTimeout):
-                    land(i, _timeout_record(spec, str(outcome), share))
-                elif isinstance(outcome, PlacementOOMError):
-                    land(i, _oom_record(spec, outcome, share))
-                elif isinstance(outcome, BaseException):
-                    land(i, _error_record(spec, outcome, share))
-                else:
-                    land(
-                        i,
-                        RunRecord(
-                            spec=spec,
-                            spec_hash=spec.spec_hash,
-                            status="ok",
-                            duration_s=share,
-                            metrics=_spec_metrics(setup, outcome),
-                        ),
-                    )
 
 
 def run_specs(

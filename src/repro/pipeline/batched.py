@@ -470,7 +470,7 @@ def simulate_many(
             act = np.empty((n, S))
             # lanes sharing an engine and plan build their stage-time
             # tables vectorized across the lane axis; lanes from
-            # distinct engines (cross-run lockstep, ensemble draws)
+            # distinct engines (a window's segment snapshots)
             # share one unscaled base table per (cost model, plan,
             # states fingerprint) and apply their own engine's speed
             # scaling — the same float64 sums and divisions the scalar

@@ -244,7 +244,7 @@ class PipelineEngine:
     def _edge_time(self, src_stage: int, dst_stage: int, nbytes: float) -> float:
         """Activation/grad hand-off cost between adjacent stages.
 
-        DP replicas run in lockstep, so the edge costs what the
+        DP replicas run synchronously, so the edge costs what the
         worst-placed replica pays for it."""
         if self.comm is None:
             return 0.0
@@ -310,8 +310,7 @@ class PipelineEngine:
     ) -> list[IterationResult]:
         """Simulate many (plan, states) scenarios — the one entry point.
 
-        This owns the batch-or-fallback decision so callers (Trainer
-        prewarm, the lockstep driver, the ensemble runner) never
+        This owns the batch-or-fallback decision so callers never
         re-implement it:
 
         - ``batched="auto"`` routes every scenario through

@@ -87,7 +87,7 @@ class MigrationPlan:
                     f"but the destination placement has "
                     f"{dst_placement.num_stages} stages"
                 )
-        # every DP replica ships its own copy of the layer in lockstep,
+        # every DP replica ships its own copy of the layer in parallel,
         # so the exposed cost is the worst replica's link
         replicas = min(src_placement.dp_ways, dst_placement.dp_ways)
         for t in self.transfers:

@@ -2,7 +2,6 @@
 
 from repro.training.config import TrainingConfig
 from repro.training.trainer import Trainer, TrainingResult
-from repro.training.lockstep import LockstepTimeout, run_trainers_lockstep
 from repro.training.throughput import ThroughputMeter
 from repro.training.checkpoint import save_checkpoint, load_checkpoint
 
@@ -10,8 +9,6 @@ __all__ = [
     "TrainingConfig",
     "Trainer",
     "TrainingResult",
-    "LockstepTimeout",
-    "run_trainers_lockstep",
     "ThroughputMeter",
     "save_checkpoint",
     "load_checkpoint",

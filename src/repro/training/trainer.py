@@ -13,6 +13,13 @@ Iteration results are memoised on (plan, state-fingerprint): schemes
 that only change every few hundred iterations (pruning, freezing,
 early exit) re-simulate only when something changed, which keeps a
 10,000-iteration run fast.
+
+When nothing reads a makespan before the next iteration (no
+controller, no trace recorder) and the engine can batch, the loop
+*walks ahead*: it runs steps 1-2 for many iterations, collects up to
+:data:`WINDOW_MISSES` distinct cache misses, simulates them in one
+batched call and only then replays step 4 in iteration order.
+Otherwise each window is one iteration.
 """
 
 from __future__ import annotations
@@ -32,13 +39,22 @@ from repro.cluster.memory import PlacementOOMError
 from repro.cluster.placement import Placement, make_placement, validate_memory
 from repro.core.balancers.partition import partition_balanced
 from repro.core.controller import DynMoController
-from repro.dynamics.base import DynamismScheme, StaticScheme
+from repro.dynamics.base import DynamismScheme
 from repro.model.cost import LayerState, ModelCost
 from repro.model.memory import StageMemoryModel
+from repro.pipeline.batched import simulate_many
 from repro.pipeline.engine import IterationResult, PipelineEngine
 from repro.pipeline.migration import diff_plans
 from repro.pipeline.plan import PipelinePlan
 from repro.training.config import TrainingConfig
+
+#: most distinct cache misses one walk-ahead window collects before it
+#: simulates them; bounds the state snapshots a window holds in memory
+WINDOW_MISSES = 64
+
+#: one distinct cache miss awaiting simulation: (cache key, engine
+#: frozen at its segment, plan, states)
+_Miss = tuple[tuple, PipelineEngine, PipelinePlan, list[LayerState]]
 
 
 class RunDeadlineExceeded(RuntimeError):
@@ -77,14 +93,20 @@ def states_fingerprint(states: list[LayerState], out: np.ndarray | None = None) 
 class _RunState:
     """Mutable accounting for one in-flight training run.
 
-    Shared between :meth:`Trainer.run` and the lockstep driver so both
-    execute the identical per-iteration bookkeeping.
+    The walk (:meth:`Trainer._pre_iteration`) may run ahead of the
+    accounting (:meth:`Trainer._post_iteration`), so simulated-time
+    charges made during the walk queue in ``charges`` and are added to
+    ``total_time`` at accounting, interleaved with the makespans in
+    iteration order (float addition is not associative).
     """
 
     iters: int
     advance: "callable | None" = None
     scheme_overhead: float = 0.0
     total_time: float = 0.0
+    #: this iteration's simulated-time charges (migration, scheme and
+    #: controller overheads), not yet added to ``total_time``
+    charges: list[float] = field(default_factory=list)
     overhead: float = 0.0
     moved: int = 0
     last_iter_time: float = 0.0
@@ -393,14 +415,6 @@ class Trainer:
         st.force_rebalance = True
         return reports
 
-    def _iteration_result(self) -> IterationResult:
-        key = self._cache_key()
-        res = self._cache_lookup(key)
-        if res is None:
-            res = self.engine.run_iteration(self.plan, self.states)
-            self._cache_store(key, res)
-        return res
-
     def tokens_per_iteration(self) -> float:
         return float(
             self.cfg.micro_batch
@@ -410,11 +424,10 @@ class Trainer:
         )
 
     # -- stepwise run protocol ----------------------------------------------
-    # run() is decomposed into begin / pre-iteration / post-iteration /
-    # finish hooks so a lockstep driver (repro.training.lockstep) can
-    # interleave many Trainers and simulate their cache misses in one
-    # vectorized batch per iteration.  run() itself is the single-run
-    # composition of the same hooks.
+    # run() composes begin / pre-iteration / post-iteration / finish
+    # hooks.  _pre_iteration is the walk (events, dynamism, controller)
+    # and _post_iteration the accounting; between them, run() resolves
+    # each window's cache misses through prewarm().
 
     def _begin_run(self, iterations: int | None) -> _RunState:
         st = _RunState(
@@ -437,7 +450,7 @@ class Trainer:
         if self.cluster_events:
             self._apply_cluster_events(st, k)
         st.advance(k, self.states)
-        st.total_time += st.scheme_overhead
+        st.charges.append(st.scheme_overhead)
 
         force = st.force_rebalance
         st.force_rebalance = False
@@ -461,7 +474,7 @@ class Trainer:
                     st.released_history.append((k, list(decision.released_ranks)))
             self.plan = decision.plan
             st.overhead += decision.overhead_s
-            st.total_time += decision.overhead_s
+            st.charges.append(decision.overhead_s)
             st.moved += decision.layers_moved
             if decision.oom_rejected:
                 st.oom_events += 1
@@ -615,7 +628,7 @@ class Trainer:
         if self.controller is not None:
             self.controller.placement = new_placement
         st.overhead += cost
-        st.total_time += cost
+        st.charges.append(cost)
         st.moved += migration.num_layers_moved
         if released:
             st.released_history.append((k, released))
@@ -623,17 +636,29 @@ class Trainer:
         # controller re-optimise it on its next (forced) invocation
         st.force_rebalance = True
 
-    def _post_iteration(self, st: _RunState, k: int, res: IterationResult) -> None:
+    def _post_iteration(
+        self,
+        st: _RunState,
+        k: int,
+        res: IterationResult,
+        charges: list[float],
+        num_stages: int,
+    ) -> None:
+        """Account iteration ``k``: its walk-time ``charges``, then its
+        makespan.  ``num_stages`` is the plan's stage count at ``k``."""
+        for charge in charges:
+            st.total_time += charge
         st.last_iter_time = res.makespan
         st.total_time += res.makespan
         if self.trace_recorder is not None:
+            # recorder runs never walk ahead, so the plan is still k's
             self.trace_recorder.record(
                 k, self.plan, self.states, res.makespan, res.bubble_ratio()
             )
         if k % self.cfg.record_every == 0 or k == st.iters - 1:
             st.bubbles.append((k, res.bubble_ratio()))
             st.makespans.append((k, res.makespan))
-            st.stages.append((k, self.plan.num_stages))
+            st.stages.append((k, num_stages))
 
     def _finish_run(self, st: _RunState) -> TrainingResult:
         tokens = self.tokens_per_iteration() * st.iters
@@ -667,172 +692,111 @@ class Trainer:
             oom_events=st.oom_events,
         )
 
-    # -- batched fast path ---------------------------------------------------
-    def prewarm(self, iterations: int | None = None) -> int:
-        """Pre-simulate the distinct states the scheme will visit.
+    # -- resolve step ------------------------------------------------------
+    def prewarm(
+        self,
+        misses: list[_Miss],
+        found: dict[tuple, IterationResult | None],
+    ) -> int:
+        """Simulate a window's distinct cache misses in one call.
 
-        Dry-runs a deep copy of the dynamism scheme (no engine calls) to
-        collect the distinct ``(plan, fingerprint)`` keys of the next
-        ``iterations`` steps, then simulates all of them in one
-        vectorized batch and seeds the iteration cache — so the run
-        loop's engine work collapses into one batched call.  Only valid
-        for controller-less runs (a controller may change the plan based
-        on results).  Returns the number of scenarios batch-simulated;
-        schemes that cannot be deep-copied are skipped (returns 0).
+        ``misses`` holds one ``(cache key, engine, plan, states)`` per
+        distinct miss, each engine frozen at its segment's placement and
+        slowdowns.  A single miss runs the engine's scalar path; more go
+        through one :func:`~repro.pipeline.batched.simulate_many` call,
+        which is bit-identical.  Each result lands in ``found`` under its
+        key and in the iteration cache.  Returns the number simulated.
         """
-        if self.controller is not None or not self.engine.can_batch:
-            return 0
-        iters = iterations if iterations is not None else self.cfg.iterations
-        if self.cluster_events:
-            # event-trace runs change plan/placement/speeds mid-flight;
-            # a shadow replay decomposes them into piecewise-static
-            # segments and pre-simulates each segment's states instead
-            return self._prewarm_events(iters)
-        if isinstance(self.scheme, StaticScheme):
-            # static control runs never leave their initial state; skip
-            # the dry scan instead of discovering one lone fingerprint
-            return 0
-        try:
-            scheme = copy.deepcopy(self.scheme)
-            states = copy.deepcopy(self.states)
-        except Exception:
-            return 0
-        advance = getattr(scheme, "advance", scheme.step)
-        buf = np.empty((len(states), 6))
-        grid = self.placement.grid if self.placement is not None else None
-        seen: set[bytes] = set()
-        todo: list[tuple[tuple, list[LayerState]]] = []
-        fp: bytes | None = None
-        version: int | None = None
-        for k in range(iters):
-            advance(k, states)
-            v = getattr(scheme, "version", None)
-            if fp is None or v is None or v != version:
-                fp = states_fingerprint(states, out=buf)
-                version = v
-            if fp in seen:
-                continue
-            seen.add(fp)
-            key = (self.plan.boundaries, grid, self._slowdown_key, fp)
-            if self._cache_lookup(key) is None:
-                todo.append((key, [s.copy() for s in states]))
-            if len(todo) >= self._cache_capacity:
-                break
-        if len(todo) < 2:  # nothing to amortise
-            return 0
-        results = self.engine.simulate([(self.plan, sts) for _, sts in todo])
-        for (key, _), res in zip(todo, results):
-            self._cache_store(key, res)
-        return len(todo)
-
-    def _prewarm_events(self, iters: int) -> int:
-        """Segmented prewarm for trace-driven runs.
-
-        A trace-driven run is *piecewise static*: between cluster events
-        (and straggler-window expiries) the placement, plan and slowdown
-        map — and hence the iteration-cache key shape — are fixed.  A
-        shadow Trainer replays the trace and dynamism scheme without any
-        engine calls, collecting one scenario per distinct cache key
-        together with a frozen engine snapshot of its segment (same
-        cost/comm/schedule, that segment's placement and slowdown map).
-        One batched :meth:`PipelineEngine.simulate` call then seeds this
-        run's cache, so the real replay — which stitches the segment
-        boundaries (migration pricing, regrow re-admission, straggler
-        windows) exactly as before — hits the cache on every iteration.
-        Results are bit-identical by construction: the snapshot engines
-        price each segment with the same inputs as the live engine, and
-        the batched path is bit-identical to the scalar one.
-        """
-        try:
-            shadow = Trainer(
-                self.cfg,
-                self.cost,
-                copy.deepcopy(self.scheme),
-                comm=self.comm,
-                initial_plan=self.plan,
-                placement=self.placement,
-                cluster_events=self.cluster_events,
+        if len(misses) == 1:
+            _, engine, plan, states = misses[0]
+            results = [engine.run_iteration(plan, states)]
+        else:
+            results = simulate_many(
+                [(engine, plan, states) for _, engine, plan, states in misses]
             )
-            shadow.states = copy.deepcopy(self.states)
-        except Exception:
-            return 0
-        st = shadow._begin_run(iters)
-        seen: set[tuple] = set()
-        todo: list[tuple[tuple, PipelineEngine, PipelinePlan, list[LayerState]]] = []
-        try:
-            for k in range(iters):
-                shadow._pre_iteration(st, k)
-                key = shadow._cache_key()
-                if key in seen:
-                    continue
-                seen.add(key)
-                if self._cache_lookup(key) is not None:
-                    continue
-                snapshot = PipelineEngine(
-                    self.cost,
-                    self.comm,
-                    schedule=self.cfg.schedule,
-                    num_micro=self.cfg.micro_batches,
-                    dp_ways=self.cfg.dp_ways,
-                    placement=shadow.placement,
-                    rank_slowdowns=dict(shadow.engine.rank_slowdowns),
-                )
-                todo.append(
-                    (key, snapshot, shadow.plan, [s.copy() for s in shadow.states])
-                )
-                if len(todo) >= self._cache_capacity:
-                    break
-        except Exception:
-            # a shadow replay that dies (e.g. a trace killing every
-            # stage) leaves the real run to surface the error itself
-            return 0
-        if len(todo) < 2:  # nothing to amortise
-            return 0
-        from repro.pipeline.batched import simulate_many
-
-        results = simulate_many(
-            [(eng, plan, states) for _, eng, plan, states in todo]
-        )
-        for (key, _, _, _), res in zip(todo, results):
+        for (key, _, _, _), res in zip(misses, results):
+            found[key] = res
             self._cache_store(key, res)
-        return len(todo)
+        return len(misses)
 
     # -- main loop ----------------------------------------------------------
     def run(
         self,
         iterations: int | None = None,
-        prewarm: bool | None = None,
         deadline_s: float | None = None,
     ) -> TrainingResult:
-        """Run the training loop.
+        """Run the training loop, one window of iterations at a time.
 
-        ``prewarm=None`` (auto) batch-pre-simulates the scheme's distinct
-        states when no controller is attached — bit-identical results,
-        one vectorized engine call instead of one scalar call per
-        distinct state.
+        Each window walks :meth:`_pre_iteration` forward and notes every
+        iteration's cache key, resolves the window's distinct misses
+        with :meth:`prewarm`, then accounts the iterations in order.  A
+        run whose next iteration reads the last makespan (controller,
+        trace recorder) or whose engine cannot batch uses windows of one
+        iteration; other runs walk ahead until :data:`WINDOW_MISSES`
+        misses are pending.  Results are bit-identical either way.
 
         ``deadline_s`` bounds the run's *wall-clock* time with a
-        monotonic-clock check between iterations, raising
-        :class:`RunDeadlineExceeded` when the budget is spent.  This is
-        the signal-free timeout path: it works off the main thread and
-        on platforms without ``SIGALRM``, where the sweep runner cannot
-        arm an alarm.  Simulated time is unaffected.
+        monotonic-clock check before each walked iteration, raising
+        :class:`RunDeadlineExceeded` when the budget is spent.  It works
+        off the main thread and without ``SIGALRM``.  Simulated time is
+        unaffected.
         """
         start = time.monotonic() if deadline_s is not None else 0.0
         st = self._begin_run(iterations)
-        if prewarm is None:
-            prewarm = self.controller is None and st.iters > 1
-        if prewarm:
-            self.prewarm(st.iters)
-        for k in range(st.iters):
-            if (
-                deadline_s is not None
-                and time.monotonic() - start > deadline_s
-            ):
-                raise RunDeadlineExceeded(
-                    f"exceeded {deadline_s:.0f}s budget (monotonic "
-                    f"deadline check at iteration {k}/{st.iters})"
-                )
-            self._pre_iteration(st, k)
-            self._post_iteration(st, k, self._iteration_result())
+        ahead = (
+            self.controller is None
+            and self.trace_recorder is None
+            and self.engine.can_batch
+        )
+        k = 0
+        while k < st.iters:
+            # walk: (k, charges, stage count, cache key) per iteration
+            steps: list[tuple[int, list[float], int, tuple]] = []
+            found: dict[tuple, IterationResult | None] = {}
+            misses: list[_Miss] = []
+            snapshots: dict[tuple, PipelineEngine] = {}
+            while k < st.iters:
+                if (
+                    deadline_s is not None
+                    and time.monotonic() - start > deadline_s
+                ):
+                    raise RunDeadlineExceeded(
+                        f"exceeded {deadline_s:.0f}s budget (monotonic "
+                        f"deadline check at iteration {k}/{st.iters})"
+                    )
+                self._pre_iteration(st, k)
+                key = self._cache_key()
+                steps.append((k, st.charges, self.plan.num_stages, key))
+                st.charges = []
+                k += 1
+                if key not in found:
+                    res = found[key] = self._cache_lookup(key)
+                    if res is None:
+                        misses.append(self._miss(key, snapshots, ahead))
+                if not ahead or len(misses) >= WINDOW_MISSES:
+                    break
+            # resolve
+            if misses:
+                self.prewarm(misses, found)
+            # account
+            for step_k, charges, num_stages, key in steps:
+                self._post_iteration(st, step_k, found[key], charges, num_stages)
         return self._finish_run(st)
+
+    def _miss(
+        self, key: tuple, snapshots: dict[tuple, PipelineEngine], frozen: bool
+    ) -> _Miss:
+        """The miss for the current state under cache key ``key``.
+
+        With ``frozen`` the walk moves on before the miss is simulated,
+        so the states are copied and the engine is a shallow copy per
+        ``(grid, slowdowns)`` segment (the live engine's placement and
+        slowdown map are replaced, never mutated, at segment changes).
+        """
+        if not frozen:
+            return key, self.engine, self.plan, self.states
+        segment = key[1:3]
+        engine = snapshots.get(segment)
+        if engine is None:
+            engine = snapshots[segment] = copy.copy(self.engine)
+        return key, engine, self.plan, [s.copy() for s in self.states]

@@ -581,26 +581,6 @@ class TestTrainerEvents:
         ms = dict(res.makespan_history)
         assert ms[2] > ms[1] and ms[5] == ms[1]
 
-    def test_lockstep_drives_event_trainer_identically(self):
-        """The lockstep driver re-bins by compiled key every iteration,
-        so an event run whose stage count changes mid-flight (scalar
-        fallback via its slowdowns/plan) must match its solo run."""
-        from repro.training import run_trainers_lockstep
-
-        trace = ClusterEventTrace(
-            (
-                ClusterEvent(5, "failure", (2,)),
-                ClusterEvent(9, "straggler", (4,), duration=4, slowdown=2.0),
-                ClusterEvent(15, "recovery", (2,)),
-            )
-        )
-        solo = _event_trainer(25, trace).run()
-        in_bin = [_event_trainer(25, trace), _event_trainer(25, None)]
-        outcomes = run_trainers_lockstep([(t, None) for t in in_bin])
-        assert not isinstance(outcomes[0], BaseException)
-        assert outcomes[0].total_time_s == solo.total_time_s
-        assert outcomes[0].makespan_history == solo.makespan_history
-
     def test_job_manager_tracks_failure_and_recovery(self):
         from repro.cluster.job_manager import ElasticJobManager
 
@@ -654,11 +634,9 @@ class TestEventSweep:
         assert record.metrics["final_num_stages"] == 8
 
     def test_batched_executor_matches_serial_on_event_specs(self, tmp_path):
-        """The batched backend keeps event specs in its lockstep bins
-        (piecewise-static segments re-bin by current compiled key) and
-        still produces the same metrics as serial execution.
-        Controller-driven modes (dynmo-*) ride along: the lockstep
-        driver runs their hooks per iteration exactly like a solo run."""
+        """The batched backend produces the same metrics as serial
+        execution on event specs, with and without a controller (a
+        controller run takes windows of one iteration)."""
         from repro.orchestrator import ExecutionPolicy, RunSpec, SweepRunner
 
         specs = [

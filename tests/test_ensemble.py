@@ -2,11 +2,12 @@
 
 Two invariants anchor this file:
 
-1. **Bit-identity** — a trace-driven run decomposed into piecewise-
-   static segments and pre-simulated through the batched engine must
-   produce results bitwise equal to the same run stepped scalar
-   iteration by iteration (differential golden tests over failure /
-   preemption / straggler / recovery traces).
+1. **Bit-identity** — a trace-driven run whose walk-ahead windows
+   simulate piecewise-static segments through the batched engine must
+   produce results bitwise equal to the same run on the reference
+   engine, which cannot batch and so resolves one iteration at a time
+   (differential golden tests over failure / preemption / straggler /
+   recovery traces).
 2. **Determinism** — ensemble percentile summaries must be identical
    across inline / pool / batched execution backends and across cached
    re-runs (nearest-rank percentiles pick actual samples).
@@ -60,27 +61,30 @@ class TestSegmentBoundaries:
 
 
 # ---------------------------------------------------------------------------
-# differential golden tests: segmented-batched == scalar, bit for bit
+# differential golden tests: windowed-batched == reference, bit for bit
 
 
-def _run_pair(trace, mode="megatron", iterations=40, dp_ways=1):
-    """Run the same trace scalar and segmented-batched; return both results."""
+def _run_pair(trace, mode="megatron", iterations=40, dp_ways=1, scenario="pruning"):
+    """Run the same trace on the reference engine (one iteration per
+    window) and the default engine; return both results."""
     results = []
-    for prewarm in (False, True):
+    for reference in (True, False):
         setup = build_scenario(
-            "pruning", num_layers=24, pp_stages=8, dp_ways=dp_ways,
+            scenario, num_layers=24, pp_stages=8, dp_ways=dp_ways,
             iterations=iterations,
         )
         trainer = make_trainer(
             setup, mode, iterations=iterations, balance_cost="modeled",
             cluster_events=trace,
         )
-        results.append(trainer.run(prewarm=prewarm))
+        trainer.engine.use_compiled = not reference
+        results.append(trainer.run())
     return results
 
 
 def _assert_identical(scalar, warmed):
     assert warmed.total_time_s == scalar.total_time_s
+    assert warmed.overhead_s == scalar.overhead_s
     assert warmed.makespan_history == scalar.makespan_history
     assert warmed.bubble_history == scalar.bubble_history
     assert warmed.stage_count_history == scalar.stage_count_history
@@ -128,9 +132,32 @@ class TestSegmentedPrewarmBitIdentity:
         )
         _assert_identical(*_run_pair(trace, mode="dynmo-partition"))
 
+    def test_windows_beyond_one_batch_account_in_order(self):
+        """More distinct states than one window holds, a cluster-event
+        trace and a per-iteration scheme overhead (Egeria): the walk
+        queues migration and scheme charges ahead of the makespans, and
+        accounting must add them back in iteration order."""
+        from repro.training.trainer import WINDOW_MISSES
+
+        trace = ClusterEventTrace.generate(
+            iterations=300, num_ranks=8, seed=1,
+            failure_rate=0.03, straggler_rate=0.3, recover_after=20,
+            straggler_duration=4, straggler_slowdown=1.8,
+        )
+        assert {ev.kind for ev in trace.events} >= {"failure", "straggler"}
+        batched_mod.stats.reset()
+        reference, windowed = _run_pair(
+            trace, mode="egeria", iterations=300, scenario="freezing"
+        )
+        # only the windowed run batches; it needed more than one window
+        assert batched_mod.stats.calls >= 2
+        assert batched_mod.stats.batched_lanes > WINDOW_MISSES
+        assert windowed.overhead_s > 0  # migrations were priced
+        _assert_identical(reference, windowed)
+
     def test_prewarm_simulates_segments_batched(self):
-        """The scout must find >= 2 distinct keys and run them as
-        batched lanes, not fall back to scalar per-key calls."""
+        """The walk must find >= 2 distinct segment keys and run them
+        as batched lanes, not fall back to scalar per-key calls."""
         trace = ClusterEventTrace(
             (
                 ClusterEvent(6, "failure", (2,)),
@@ -145,7 +172,8 @@ class TestSegmentedPrewarmBitIdentity:
             cluster_events=trace,
         )
         batched_mod.stats.reset()
-        warmed = trainer.prewarm(40)
+        trainer.run()
+        warmed = len(trainer._cache)
         assert warmed >= 2
         assert batched_mod.stats.batched_lanes >= warmed
         assert batched_mod.stats.scalar_unbatchable == 0

@@ -166,7 +166,7 @@ class TestSweepRunner:
 
 
 class TestBatchedExecutor:
-    """jobs=0: binned lockstep execution in-process."""
+    """jobs=0: the batched backend name, run in-process."""
 
     def _grid(self):
         return [

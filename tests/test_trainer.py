@@ -159,6 +159,14 @@ class TestCheckpoint:
         assert plan2.num_layers == 12
 
 
+def _touch(t):
+    """Look the current state up in the iteration cache, storing it on
+    a miss, as the run loop does."""
+    key = t._cache_key()
+    if t._cache_lookup(key) is None:
+        t._cache_store(key, t.engine.run_iteration(t.plan, t.states))
+
+
 class TestIterationCache:
     """The per-trainer iteration memoiser: bounded LRU + version-gated
     state fingerprinting."""
@@ -173,14 +181,14 @@ class TestIterationCache:
         plans = [PipelinePlan.uniform(26, s) for s in (2, 3, 4, 5)]
         for p in plans:
             t.plan = p
-            t._iteration_result()
+            _touch(t)
         assert len(t._cache) == 4
         # touch the oldest so it becomes most-recent ...
         t.plan = plans[0]
-        t._iteration_result()
+        _touch(t)
         # ... then overflow: plans[1] (now the LRU entry) is evicted
         t.plan = PipelinePlan.uniform(26, 6)
-        t._iteration_result()
+        _touch(t)
         assert len(t._cache) == 4
         keys = list(t._cache)
         assert all(k[0] != plans[1].boundaries for k in keys)
@@ -191,7 +199,7 @@ class TestIterationCache:
         t._cache_capacity = 3
         for s in range(2, 9):
             t.plan = PipelinePlan.uniform(26, s)
-            t._iteration_result()
+            _touch(t)
         assert len(t._cache) == 3
 
     def test_fingerprint_skipped_while_version_unchanged(
@@ -207,9 +215,8 @@ class TestIterationCache:
             "states_fingerprint",
             lambda states, out=None: calls.append(1) or real(states, out),
         )
-        # prewarm=False: the batched prewarm dry-run hashes once itself;
-        # this test pins the *run loop's* version-gated memoisation
-        t.run(prewarm=False)  # StaticScheme: version never changes
+        # the walk-ahead loop hashes through the same version-gated memo
+        t.run()  # StaticScheme: version never changes
         assert len(calls) == 1
 
     def test_fingerprint_recomputed_on_version_bump(self, gpt24_cost, gpt24_specs):
@@ -267,7 +274,8 @@ class TestIterationCache:
 
 
 class TestPrewarmAndLockstep:
-    """The batched Trainer fast path and the lockstep driver."""
+    """``Trainer.prewarm``, the run loop's resolve step, and the windows
+    that feed it (the class name predates the one-loop design)."""
 
     def _trainer(self, cost, specs, scheme=None, iters=30, **kw):
         cfg = TrainingConfig(
@@ -275,107 +283,70 @@ class TestPrewarmAndLockstep:
         )
         return Trainer(cfg, cost, scheme or StaticScheme(specs))
 
+    @staticmethod
+    def _spy(monkeypatch, t):
+        """Record how many misses each prewarm call resolves."""
+        sizes = []
+        real = t.prewarm
+
+        def spy(misses, found):
+            sizes.append(len(misses))
+            return real(misses, found)
+
+        monkeypatch.setattr(t, "prewarm", spy)
+        return sizes
+
     def test_prewarm_seeds_cache_and_matches(self, gpt24_cost, gpt24_specs):
-        scheme = FreezingDynamism(gpt24_specs, freeze_every=5, tau0=5, seed=0)
-        warm = self._trainer(gpt24_cost, gpt24_specs, scheme=scheme)
-        n = warm.prewarm(30)
-        assert n >= 2  # freezing visits several distinct states
-        assert len(warm._cache) == n
-        res_warm = warm.run(prewarm=False)  # served from the seeded cache
-
-        cold_scheme = FreezingDynamism(gpt24_specs, freeze_every=5, tau0=5, seed=0)
-        cold = self._trainer(gpt24_cost, gpt24_specs, scheme=cold_scheme)
-        res_cold = cold.run(prewarm=False)
-        assert res_warm.total_time_s == res_cold.total_time_s
-        assert res_warm.makespan_history == res_cold.makespan_history
-
-    def test_prewarm_noop_for_static_scheme(self, gpt24_cost, gpt24_specs):
         t = self._trainer(gpt24_cost, gpt24_specs)
-        assert t.prewarm(30) == 0  # one distinct state: nothing to batch
+        plans = [PipelinePlan.uniform(26, s) for s in (2, 3, 4)]
+        misses = [((p.boundaries,), t.engine, p, t.states) for p in plans]
+        found = {}
+        assert t.prewarm(misses, found) == 3
+        assert len(t._cache) == 3
+        for key, _, plan, states in misses:
+            ref = t.engine.run_iteration(plan, states)
+            assert found[key].makespan == ref.makespan
+            assert np.array_equal(found[key].busy, ref.busy)
+            assert t._cache_lookup(key) is found[key]
 
-    def test_prewarm_refused_with_controller(self, gpt24_cost, gpt24_specs, comm):
+    def test_prewarm_noop_for_static_scheme(
+        self, gpt24_cost, gpt24_specs, monkeypatch
+    ):
+        import repro.pipeline.batched as batched_mod
+
+        t = self._trainer(gpt24_cost, gpt24_specs)
+        sizes = self._spy(monkeypatch, t)
+        batched_mod.stats.reset()
+        t.run()
+        # one distinct state: one scalar simulation, nothing to batch
+        assert sizes == [1]
+        assert batched_mod.stats.calls == 0
+
+    def test_prewarm_refused_with_controller(
+        self, gpt24_cost, gpt24_specs, comm, monkeypatch
+    ):
+        import repro.pipeline.batched as batched_mod
+
         controller = DynMoController(gpt24_cost, comm, DynMoConfig(balancer="partition"))
         cfg = TrainingConfig(iterations=10, pp_stages=4, dp_ways=1)
         scheme = FreezingDynamism(gpt24_specs, freeze_every=2, tau0=2, seed=0)
         t = Trainer(cfg, gpt24_cost, scheme, comm=comm, controller=controller)
-        assert t.prewarm(10) == 0
+        sizes = self._spy(monkeypatch, t)
+        batched_mod.stats.reset()
+        t.run()
+        # the controller reads each makespan: windows of one iteration
+        assert sizes and set(sizes) == {1}
+        assert batched_mod.stats.calls == 0
 
     def test_run_prewarm_auto_is_bit_identical(self, gpt24_cost, gpt24_specs):
+        """Walk-ahead windows against the reference engine, which cannot
+        batch and so resolves one iteration at a time."""
         mk = lambda: FreezingDynamism(gpt24_specs, freeze_every=4, tau0=4, seed=3)  # noqa: E731
         auto = self._trainer(gpt24_cost, gpt24_specs, scheme=mk()).run()
-        off = self._trainer(gpt24_cost, gpt24_specs, scheme=mk()).run(prewarm=False)
+        ref = self._trainer(gpt24_cost, gpt24_specs, scheme=mk())
+        ref.engine.use_compiled = False
+        off = ref.run()
         assert auto.total_time_s == off.total_time_s
+        assert auto.overhead_s == off.overhead_s
+        assert auto.makespan_history == off.makespan_history
         assert auto.bubble_history == off.bubble_history
-
-    def test_lockstep_matches_solo_runs(self, gpt24_cost, gpt24_specs):
-        from repro.training import run_trainers_lockstep
-
-        mk = lambda seed: FreezingDynamism(  # noqa: E731
-            gpt24_specs, freeze_every=4, tau0=4, seed=seed
-        )
-        trainers = [
-            self._trainer(gpt24_cost, gpt24_specs, scheme=mk(seed))
-            for seed in range(3)
-        ]
-        outcomes = run_trainers_lockstep([(t, None) for t in trainers])
-        for seed, outcome in enumerate(outcomes):
-            solo = self._trainer(gpt24_cost, gpt24_specs, scheme=mk(seed)).run()
-            assert outcome.total_time_s == solo.total_time_s
-            assert outcome.makespan_history == solo.makespan_history
-
-    def test_lockstep_isolates_failures(self, gpt24_cost, gpt24_specs):
-        from repro.training import run_trainers_lockstep
-
-        class Exploding(StaticScheme):
-            def step(self, k, states):
-                if k == 5:
-                    raise RuntimeError("boom")
-                return False
-
-        bad = self._trainer(gpt24_cost, gpt24_specs, scheme=Exploding(gpt24_specs))
-        good = self._trainer(gpt24_cost, gpt24_specs)
-        outcomes = run_trainers_lockstep([(bad, None), (good, None)])
-        assert isinstance(outcomes[0], RuntimeError)
-        assert outcomes[1].iterations == 30
-
-    def test_lockstep_deadline_times_out_runs(self, gpt24_cost, gpt24_specs):
-        from repro.training import LockstepTimeout, run_trainers_lockstep
-
-        t = self._trainer(gpt24_cost, gpt24_specs, iters=10_000)
-        (outcome,) = run_trainers_lockstep([(t, None)], deadline_s=0.0)
-        assert isinstance(outcome, LockstepTimeout)
-
-    def test_lockstep_deadline_never_overwrites_finished_runs(
-        self, gpt24_cost, gpt24_specs
-    ):
-        """Regression: a fast run that completed all its iterations
-        before the deadline expired must get its TrainingResult, not be
-        swept into the slow bin-mate's LockstepTimeout."""
-        import time as _time
-
-        from repro.training import LockstepTimeout, run_trainers_lockstep
-
-        class Slow(StaticScheme):
-            def step(self, k, states):
-                _time.sleep(0.2)
-                return False
-
-        fast = self._trainer(gpt24_cost, gpt24_specs, scheme=Slow(gpt24_specs), iters=1)
-        slow = self._trainer(gpt24_cost, gpt24_specs, scheme=Slow(gpt24_specs), iters=50)
-        # after iteration 0 (~0.4s of scheme steps) the deadline is long
-        # expired; fast has no iterations left, slow has 49
-        out_fast, out_slow = run_trainers_lockstep(
-            [(fast, None), (slow, None)], deadline_s=0.1
-        )
-        assert isinstance(out_slow, LockstepTimeout)
-        assert not isinstance(out_fast, BaseException)
-        assert out_fast.iterations == 1
-
-    def test_lockstep_mixed_iteration_counts(self, gpt24_cost, gpt24_specs):
-        from repro.training import run_trainers_lockstep
-
-        a = self._trainer(gpt24_cost, gpt24_specs, iters=7)
-        b = self._trainer(gpt24_cost, gpt24_specs, iters=23)
-        out_a, out_b = run_trainers_lockstep([(a, None), (b, None)])
-        assert out_a.iterations == 7
-        assert out_b.iterations == 23
