@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -91,10 +91,13 @@ class LoadBalancer(ABC):
     ) -> float | None:
         """Conservative scalar view of a (possibly per-stage) capacity.
 
-        Partitioning algorithms whose inner loops reason about one
-        scalar bound (binary-search probe, DP recurrence) reduce a
-        per-stage vector to its minimum: any partition feasible under
-        the minimum is feasible under every stage's true capacity.
+        ``PartitionBalancer`` and ``DPExactBalancer`` carry one scalar
+        bound through their search, so they reduce a per-stage vector
+        to its minimum.  Any partition feasible under the minimum fits
+        every stage's true capacity, but the minimum can also reject
+        every partition while the input plan fits; both balancers then
+        keep the input plan (``search_scalar_capacity``).
+        ``DiffusionBalancer`` checks the per-stage vector itself.
         """
         if memory_capacity is None or np.isscalar(memory_capacity):
             return memory_capacity  # type: ignore[return-value]
@@ -102,3 +105,21 @@ class LoadBalancer(ABC):
         if caps.size == 0:
             return None
         return float(caps.min())
+
+    @classmethod
+    def search_scalar_capacity(
+        cls,
+        search: Callable[[float | None], PipelinePlan],
+        plan: PipelinePlan,
+        memory_per_layer: np.ndarray | None,
+        memory_capacity: "float | Sequence[float] | None",
+    ) -> PipelinePlan:
+        """``search(scalar_capacity(memory_capacity))``, or ``plan``
+        unchanged when that search finds no plan (``ValueError``) but
+        ``plan`` fits the true per-stage capacities."""
+        try:
+            return search(cls.scalar_capacity(memory_capacity))
+        except ValueError:
+            if not cls.plan_feasible(plan, memory_per_layer, memory_capacity):
+                raise
+            return plan

@@ -1,10 +1,11 @@
 """Exact dynamic-programming balancer (oracle / third balancer option).
 
 Solves min-max contiguous partitioning exactly in O(S · n²) with the
-classic DP over prefix sums.  The Partition balancer's binary search
-reaches the same optimum in O(n log(sum/eps)); this DP exists (a) as a
-cross-check oracle for tests, (b) to expose the full Pareto row — the
-optimal bottleneck for *every* stage count 1..S in one pass, which the
+classic DP over prefix sums.  The Partition balancer reaches the same
+optimal bottleneck by binary search over the O(n²) window sums, each
+probe a greedy pass of O(S log n); this DP exists (a) as a cross-check
+oracle for tests, (b) to expose the full Pareto row — the optimal
+bottleneck for *every* stage count 1..S in one pass, which the
 re-packing gate uses to pick how far a shrunken model can fold.
 """
 
@@ -112,9 +113,9 @@ class DPExactBalancer(LoadBalancer):
         before = plan.stage_loads(w)
         # the DP recurrence carries one scalar bound; per-stage capacity
         # vectors conservatively collapse to their minimum
-        new_plan, _ = dp_partition(
-            w, plan.num_stages, memory_per_layer,
-            self.scalar_capacity(memory_capacity),
+        new_plan = self.search_scalar_capacity(
+            lambda cap: dp_partition(w, plan.num_stages, memory_per_layer, cap)[0],
+            plan, memory_per_layer, memory_capacity,
         )
         after = new_plan.stage_loads(w)
         if after.max() > before.max():

@@ -1,10 +1,17 @@
 """Tests for metrics, Partition and Diffusion balancers, convergence."""
 
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import (
     DiffusionBalancer,
+    DPExactBalancer,
     PartitionBalancer,
     bubble_ratio_from_loads,
     diffusion_rounds_bound,
@@ -179,6 +186,14 @@ class TestDiffusionBalancer:
         res = DiffusionBalancer(gamma=1e-9).rebalance(plan, w, mem, 2.0)
         assert all(res.plan.stage_loads(mem) <= 2.0)
 
+    def test_rounding_tie_stops_instead_of_alternating(self):
+        """Moving a 50.05 layer across the cut and back ties |e(b)| up to
+        rounding; accepting the move back would alternate forever."""
+        w = np.array([0.0, 100.1, 50.05, 50.05, 50.05, 200.2])
+        plan = PipelinePlan((0, 3, 6), 6)
+        res = DiffusionBalancer(gamma=1e-9).rebalance(plan, w)
+        assert res.loads_after.max() < res.loads_before.max()
+
     def test_invalid_gamma(self):
         with pytest.raises(ValueError):
             DiffusionBalancer(gamma=0)
@@ -188,6 +203,60 @@ class TestDiffusionBalancer:
         plan = PipelinePlan.uniform(26, 6)
         res = DiffusionBalancer(gamma=1e-12, max_rounds=3).rebalance(plan, w)
         assert res.rounds <= 3
+
+
+class TestFeasibleInputNeverRaises:
+    """Partition and DP search under the minimum of a per-stage
+    capacity vector; when that finds nothing but the input plan fits
+    the true capacities, the input plan stands."""
+
+    @pytest.mark.parametrize(
+        "balancer",
+        [PartitionBalancer(), DPExactBalancer(), DiffusionBalancer()],
+        ids=lambda b: b.name,
+    )
+    def test_per_stage_capacities_keep_feasible_plan(self, balancer):
+        ones = np.ones(4)
+        plan = PipelinePlan((0, 3, 4), 4)
+        res = balancer.rebalance(plan, ones, ones, [3.0, 1.0])
+        assert res.plan == plan
+
+    @pytest.mark.parametrize(
+        "balancer", [PartitionBalancer(), DPExactBalancer()], ids=lambda b: b.name
+    )
+    def test_infeasible_input_still_raises(self, balancer):
+        ones = np.ones(4)
+        with pytest.raises(ValueError, match="no feasible partition"):
+            balancer.rebalance(PipelinePlan((0, 3, 4), 4), ones, ones, [1.0, 1.0])
+
+
+def test_balancers_do_not_import_numpy_ma():
+    """``numpy.ma`` (pulled in lazily by e.g. ``np.unique``) costs
+    megabytes of resident memory in every controller process."""
+    code = textwrap.dedent(
+        """
+        import sys
+        import numpy as np
+        from repro.core.balancers import DiffusionBalancer, partition_balanced
+        from repro.pipeline.plan import PipelinePlan
+
+        w = np.arange(1.0, 13.0)
+        partition_balanced(w, 4)
+        partition_balanced(w, 4, w, 30.0)
+        plan = PipelinePlan.uniform(12, 4)
+        DiffusionBalancer().rebalance(plan, w)
+        DiffusionBalancer().rebalance(plan, w, w, [40.0] * 4)
+        assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+        """
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestConvergenceBounds:
