@@ -131,6 +131,62 @@ def partition_balanced(
     return PipelinePlan(tuple(_pad(best, num_stages)), n)
 
 
+def fit_capacities(
+    stage_memory: Sequence[np.ndarray], capacities: Sequence[float]
+) -> PipelinePlan | None:
+    """A contiguous plan whose stage ``s`` fits ``capacities[s]``, or
+    None when no such plan exists.
+
+    ``stage_memory[s][i]`` is layer ``i``'s memory when placed on stage
+    ``s`` (a schedule keeps a different number of micro-batches in
+    flight per stage).  Exact for feasibility.  A forward pass marks
+    every layer each stage can start on: stage ``s`` starts where stage
+    ``s - 1`` can end, which is as far as its own capacity reaches while
+    leaving one layer for each later stage.  A backward pass then
+    starts each stage at the earliest marked layer that fits it.  A
+    single left-to-right fill is not exact: with memory ``[1, 1, 5, 1]``
+    and capacities ``[10, 1, 10]``, stage 0 taking ``[1, 1]`` leaves
+    stage 1 only the 5, while ``(0, 1, 2, 4)`` fits.  Stage memory is
+    the sequential window sum the partition search uses.
+    """
+    num_stages = len(capacities)
+    if len(stage_memory) != num_stages:
+        raise ValueError(
+            f"got {len(stage_memory)} memory rows for {num_stages} stages"
+        )
+    n = len(stage_memory[0]) if num_stages else 0
+    if not 1 <= num_stages <= n:
+        return None
+    longest = np.arange(n, 0, -1)
+    # reach[s][i]: most layers stage s may hold starting at layer i
+    reach = [
+        np.minimum(
+            (_window_table(np.asarray(mem, dtype=float)) <= cap).sum(axis=1),
+            longest,
+        ).tolist()
+        for mem, cap in zip(stage_memory, capacities)
+    ]
+    starts = [[True] + [False] * n]
+    for s in range(num_stages):
+        last = n - (num_stages - 1 - s)
+        ends = [False] * (n + 1)
+        for i in range(n):
+            if starts[s][i]:
+                for e in range(i + 1, min(i + reach[s][i], last) + 1):
+                    ends[e] = True
+        starts.append(ends)
+    if not starts[num_stages][n]:
+        return None
+    bounds = [n]
+    for s in range(num_stages - 1, 0, -1):
+        e = bounds[-1]
+        bounds.append(
+            next(i for i in range(e) if starts[s][i] and reach[s][i] >= e - i)
+        )
+    bounds.append(0)
+    return PipelinePlan(tuple(reversed(bounds)), n)
+
+
 class PartitionBalancer(LoadBalancer):
     name = "partition"
 

@@ -71,6 +71,16 @@ class GlobalMagnitudePruner:
         self.num_ranks = num_ranks
         self.world = SimWorld(num_ranks)
 
+    # the world holds locks and queues; a fresh world of the same size
+    # is indistinguishable (see SimWorld.__deepcopy__), so only the rank
+    # count is pickled
+    def __getstate__(self) -> dict:
+        return {"num_ranks": self.num_ranks}
+
+    def __setstate__(self, state: dict) -> None:
+        self.num_ranks = state["num_ranks"]
+        self.world = SimWorld(self.num_ranks)
+
     @staticmethod
     def _rank_fn(comm: SimComm, shard: np.ndarray, sparsity: float, total: int):
         """One rank of Algorithm 1. ``shard`` is this rank's parameters."""

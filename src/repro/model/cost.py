@@ -24,7 +24,7 @@ backward.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,7 +48,12 @@ from repro.utils.validation import check_prob
 PRECISIONS = ("mixed", "full")
 
 
-@dataclass(frozen=True)
+# LayerSpec and LayerState use slots: pickling an instance with a
+# __dict__ (as the trajectory memo's key does) turns CPython 3.11+'s
+# inline attributes into a real dict and slows every later read of it
+
+
+@dataclass(frozen=True, slots=True)
 class LayerSpec:
     """Static facts about one pipeline-assignable layer."""
 
@@ -68,7 +73,7 @@ class LayerSpec:
             raise ValueError("ffn_flops cannot exceed matmul_flops")
 
 
-@dataclass
+@dataclass(slots=True)
 class LayerState:
     """Time-varying dynamism multipliers for one layer.
 
@@ -98,7 +103,16 @@ class LayerState:
             raise ValueError("moe_multiplier must be >= 0")
 
     def copy(self) -> "LayerState":
-        return replace(self)
+        # a direct call is ~4x cheaper than dataclasses.replace, and the
+        # walk-ahead snapshots copy every layer of every cache miss
+        return LayerState(
+            self.sparsity,
+            self.frozen,
+            self.droppable_bwd,
+            self.attn_density,
+            self.token_fraction,
+            self.moe_multiplier,
+        )
 
 
 def build_layer_specs(

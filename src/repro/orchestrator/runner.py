@@ -71,6 +71,7 @@ from types import FrameType
 from typing import Any, Callable, Iterator, Sequence
 
 from repro.cluster.memory import PlacementOOMError
+from repro.dynamics import trajectory
 from repro.orchestrator import faults
 from repro.orchestrator.cache import CACHEABLE_STATUSES, ResultCache
 from repro.orchestrator.journal import SweepJournal
@@ -243,9 +244,62 @@ def _deadline(seconds: float | None) -> Iterator[bool]:
         signal.signal(signal.SIGALRM, old)
 
 
+#: modes whose Trainer steps a scheme of their own instead of the scenario's
+_SCHEME_MODES = ("tutel", "egeria", "dense-baseline")
+
+#: the specs whose run records its dynamism trajectory, because a
+#: later run in this process shares the spec's kin
+_RECORDING: set[RunSpec] = set()
+
+
+def _trajectory_kin(spec: RunSpec) -> tuple[Any, ...]:
+    """What a run's dynamism is built from: the ``build_scenario``
+    arguments :func:`_run_spec` passes, the static switch and a mode
+    that brings its own scheme.  Runs of equal kin step the same
+    trajectory as a rule; the memo's exact key decides whether they
+    do, so a kin that is too coarse only costs a recording."""
+    return (
+        spec.scenario,
+        spec.num_layers,
+        spec.pp_stages,
+        spec.dp_ways,
+        spec.iterations,
+        spec.paper_scale,
+        spec.seed,
+        spec.cluster,
+        spec.precision,
+        spec.recompute,
+        spec.static_scheme,
+        spec.mode if spec.mode in _SCHEME_MODES else "",
+    )
+
+
+@contextmanager
+def _sharing(specs: Sequence[RunSpec]) -> Iterator[None]:
+    """While ``specs`` run in order in this process, mark for recording
+    each spec whose kin a later one shares.  A run nothing later shares
+    records nothing: the recording would cost it time and help no one.
+    """
+    kin = [_trajectory_kin(spec) for spec in specs]
+    last = dict(zip(kin, specs))
+    marked = {spec for k, spec in zip(kin, specs) if last[k] != spec}
+    _RECORDING.update(marked)
+    try:
+        yield
+    finally:
+        _RECORDING.difference_update(marked)
+
+
 def _run_spec(spec: RunSpec, deadline_s: float | None = None) -> dict[str, Any]:
     """Build the scenario and Trainer a spec describes, run it, and
-    return the record's metrics."""
+    return the record's metrics.
+
+    The run's dynamism goes through the process-wide trajectory memo
+    (:mod:`repro.dynamics.trajectory`): a run that :func:`_sharing`
+    marked records its trajectory, and a later run with the same
+    scheme, initial states and iteration count replays it.  Results
+    are bit-identical either way.
+    """
     # deferred: repro.experiments imports repro.orchestrator for the
     # figure drivers, so importing it at module level would be circular
     from repro.cluster.events import ClusterEventTrace
@@ -294,11 +348,21 @@ def _run_spec(spec: RunSpec, deadline_s: float | None = None) -> dict[str, Any]:
         cluster_events=events,
         memory_limit=spec.memory_limit or None,
     )
+    # this function owns the fresh scheme and discards it with the
+    # trainer, so a run that replays a memoised trajectory is
+    # indistinguishable from one that steps it
+    trainer.scheme, commit = trajectory.memoise(
+        trainer.scheme,
+        trainer.states,
+        trainer.cfg.iterations,
+        record=spec in _RECORDING,
+    )
     try:
         result = trainer.run(deadline_s=deadline_s)
     except RunDeadlineExceeded as exc:
         # same record shape as the SIGALRM path: status="timeout"
         raise SweepTimeout(str(exc)) from None
+    commit()
     metrics = result_metrics(result)
     # effective shape (build_scenario may widen the pipeline, e.g. MoE)
     metrics["effective_pp_stages"] = setup.pp_stages
@@ -418,7 +482,8 @@ def _execute_chunk(
         faults.install(fault_plan, owner_pid)
     try:
         faults.on_chunk_start()
-        return [execute_spec(spec, timeout_s) for spec in specs]
+        with _sharing(specs):
+            return [execute_spec(spec, timeout_s) for spec in specs]
     finally:
         if fault_plan is not None:
             faults.uninstall()
@@ -708,9 +773,10 @@ class SweepRunner:
         state = _RunState(specs=specs, records=records, land=land, stop=stop)
         with self._trap_signals(stop):
             if self.policy.backend != "pool" or len(pending) == 1:
-                for i in pending:
-                    self._maybe_interrupt(state)
-                    land(i, execute_spec(specs[i], self.timeout_s))
+                with _sharing([specs[i] for i in pending]):
+                    for i in pending:
+                        self._maybe_interrupt(state)
+                        land(i, execute_spec(specs[i], self.timeout_s))
             else:
                 self._run_pool(pending, state)
         return [r for r in records if r is not None]

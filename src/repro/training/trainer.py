@@ -37,7 +37,7 @@ from repro.cluster.events import ClusterEventTrace
 from repro.cluster.job_manager import ElasticJobManager
 from repro.cluster.memory import PlacementOOMError
 from repro.cluster.placement import Placement, make_placement, validate_memory
-from repro.core.balancers.partition import partition_balanced
+from repro.core.balancers.partition import fit_capacities, partition_balanced
 from repro.core.controller import DynMoController
 from repro.dynamics.base import DynamismScheme
 from repro.model.cost import LayerState, ModelCost
@@ -389,31 +389,43 @@ class Trainer:
 
         Balances *memory* (not compute) because the goal is feasibility;
         the controller's next forced invocation re-optimises compute
-        within the recovered headroom.  Returns the new plan's reports,
-        or None when no contiguous partition fits.
+        within the recovered headroom.  The balanced search prices every
+        layer at the deepest stage's in-flight count against the
+        smallest stage capacity; when its plan does not fit, any plan
+        that fits each stage's own capacity at its own in-flight count
+        is taken (:func:`fit_capacities`, exact for feasibility).
+        Returns the new plan's reports, or None when no contiguous
+        partition fits.
         """
         model = self.memory_model
         n_stages = self.plan.num_stages
         infl = model.worst_in_flight(n_stages)
         mem = np.asarray(model.layer_bytes(self.states, infl), dtype=float)
-        if self.placement is not None:
-            cap = float(min(self.placement.stage_capacities()))
-        elif self.comm is not None:
-            cap = float(self.comm.topology.min_memory_bytes)
-        else:
-            cap = float("inf")
-        if model.limit_bytes is not None:
-            cap = min(cap, float(model.limit_bytes))
-        try:
-            new_plan = partition_balanced(mem, n_stages, mem, cap)
-        except ValueError:
-            return None
-        reports = self._memory_reports(new_plan)
-        if not all(r.fits for r in reports):
-            return None
-        self.plan = new_plan
-        st.force_rebalance = True
-        return reports
+        caps = self._stage_capacity_floats(n_stages)
+        candidates = [lambda: partition_balanced(mem, n_stages, mem, min(caps))]
+        if len(caps) == n_stages:
+            candidates.append(
+                lambda: fit_capacities(
+                    [
+                        model.layer_bytes(self.states, model.in_flight(s, n_stages))
+                        for s in range(n_stages)
+                    ],
+                    caps,
+                )
+            )
+        for candidate in candidates:
+            try:
+                new_plan = candidate()
+            except ValueError:
+                continue
+            if new_plan is None:
+                continue
+            reports = self._memory_reports(new_plan)
+            if all(r.fits for r in reports):
+                self.plan = new_plan
+                st.force_rebalance = True
+                return reports
+        return None
 
     def tokens_per_iteration(self) -> float:
         return float(
@@ -440,7 +452,7 @@ class Trainer:
         # duck-typed baselines (Egeria/Tutel wrappers) only provide
         # step(); without a version counter the fingerprint memo just
         # recomputes every iteration, as before
-        st.advance = getattr(self.scheme, "advance", self.scheme.step)
+        st.advance = getattr(self.scheme, "advance", None) or self.scheme.step
         self._validate_memory(st, "initial placement")
         return st
 

@@ -15,9 +15,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import repro
 from repro.cluster.memory import PlacementOOMError
 from repro.cluster.placement import make_placement, validate_memory
-from repro.cluster.topology import GPU_MODELS, parse_cluster
+from repro.cluster.collectives import CommCostModel
+from repro.cluster.topology import GPU_MODELS, GPUSpec, hetero_cluster, parse_cluster
 from repro.core.balancers.base import LoadBalancer
-from repro.core.balancers.partition import partition_balanced
+from repro.core.balancers.partition import fit_capacities, partition_balanced
 from repro.core.repack import first_fit_repack, repack_plan
 from repro.experiments.common import build_scenario, make_trainer, parse_memory_limit
 from repro.model.config import gpt_24
@@ -26,6 +27,8 @@ from repro.model.memory import SCHEDULES, StageMemoryModel
 from repro.orchestrator import ExecutionPolicy, ResultCache, RunSpec, execute_spec
 from repro.orchestrator.runner import SweepRunner
 from repro.pipeline import PipelinePlan
+from repro.training.config import TrainingConfig
+from repro.training.trainer import Trainer
 
 GIB = 1024**3
 
@@ -396,6 +399,49 @@ class TestTrainerOOM:
         assert res.oom_events >= 1
         assert 0 < res.peak_stage_bytes <= limit
 
+    @pytest.mark.parametrize(
+        "schedule,nodes,gib",
+        [
+            # no plan fits under the smallest capacity (the head alone
+            # exceeds it), but each stage's own device takes one
+            ("gpipe", [2, 2], [3.29, 20.45]),
+            # 1F1B's last stage holds one micro-batch, not four: pricing
+            # every layer at the deepest stage's count rejects the fit
+            ("1f1b", [3, 1], [0.25, 6.0]),
+        ],
+    )
+    def test_resplit_fits_a_feasible_heterogeneous_input(self, schedule, nodes, gib):
+        """The uniform plan's first stage overflows; ``(0, 1, 2, 3, 26)``
+        fits every stage, so "resplit" must train."""
+        setup = build_scenario(
+            "pruning", num_layers=24, pp_stages=4, dp_ways=1, iterations=10
+        )
+        topo = hetero_cluster(
+            nodes, gpus=[GPUSpec(memory_bytes=int(g * GIB)) for g in gib]
+        )
+        model = StageMemoryModel(setup.cost, schedule=schedule, num_micro=16)
+        cfg = TrainingConfig(
+            iterations=10, pp_stages=4, dp_ways=1, schedule=schedule,
+            num_micro=16, seq_len=setup.cfg.seq_len,
+        )
+
+        def trainer(policy):
+            return Trainer(
+                cfg, setup.cost, setup.scheme_factory(),
+                comm=CommCostModel(topo),
+                initial_plan=PipelinePlan((0, 23, 24, 25, 26), 26),
+                memory_model=model, oom_policy=policy,
+            )
+
+        fits = trainer("raise")._memory_reports(PipelinePlan((0, 1, 2, 3, 26), 26))
+        assert all(r.fits for r in fits)
+        with pytest.raises(PlacementOOMError, match="stage 0 needs"):
+            trainer("raise").run()
+        tr = trainer("resplit")
+        res = tr.run()
+        assert res.oom_events >= 1
+        assert all(r.fits for r in tr._memory_reports(tr.plan))
+
     def test_healthy_run_records_peak(self):
         setup = build_scenario(
             "pruning", num_layers=24, pp_stages=4, dp_ways=1, iterations=10
@@ -539,3 +585,46 @@ class TestFacade:
         ):
             assert name in repro.api.__all__
             assert name in repro.__all__
+
+
+class TestFitCapacities:
+    """``fit_capacities`` finds a plan exactly when one exists."""
+
+    @staticmethod
+    def _feasible(rows, caps):
+        n, s = len(rows[0]), len(caps)
+        from itertools import combinations
+
+        for cuts in combinations(range(1, n), s - 1):
+            bounds = (0, *cuts, n)
+            if all(
+                sum(rows[j][bounds[j]:bounds[j + 1]]) <= caps[j] for j in range(s)
+            ):
+                return True
+        return False
+
+    def test_single_left_to_right_fill_is_not_enough(self):
+        memory = np.array([1.0, 1.0, 5.0, 1.0])
+        plan = fit_capacities([memory] * 3, [10.0, 1.0, 10.0])
+        assert plan is not None and plan.boundaries == (0, 1, 2, 4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        memory=st.lists(st.integers(0, 9), min_size=1, max_size=8),
+        caps=st.lists(st.integers(0, 20), min_size=1, max_size=5),
+        extra=st.integers(0, 2),
+    )
+    def test_matches_exhaustive_search(self, memory, caps, extra):
+        caps = caps[: len(memory)]
+        # later stages hold fewer micro-batches: each layer costs less
+        rows = [[m + extra * (len(caps) - s) for m in memory] for s in range(len(caps))]
+        plan = fit_capacities(
+            [np.array(r, dtype=float) for r in rows], [float(c) for c in caps]
+        )
+        assert (plan is not None) == self._feasible(rows, caps)
+        if plan is not None:
+            assert plan.num_stages == len(caps)
+            b = plan.boundaries
+            assert all(
+                sum(rows[j][b[j]:b[j + 1]]) <= caps[j] for j in range(len(caps))
+            )
